@@ -1,6 +1,9 @@
 #include "backend/backend_server.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
+#include "replication/region.h"
 #include "semantics/resolver.h"
 
 namespace rcc {
@@ -131,6 +134,25 @@ const Table* BackendServer::table(std::string_view name) const {
 Table* BackendServer::mutable_table(std::string_view name) {
   auto it = tables_.find(ToLower(name));
   return it == tables_.end() ? nullptr : it->second.get();
+}
+
+void BackendServer::AddLogReader(const CurrencyRegion* region) {
+  log_readers_.push_back(region);
+}
+
+void BackendServer::RemoveLogReader(const CurrencyRegion* region) {
+  log_readers_.erase(
+      std::remove(log_readers_.begin(), log_readers_.end(), region),
+      log_readers_.end());
+}
+
+void BackendServer::ReclaimAppliedLog() {
+  if (log_readers_.empty()) return;
+  size_t low_water = log_.size();
+  for (const CurrencyRegion* region : log_readers_) {
+    low_water = std::min(low_water, region->applied_log_pos());
+  }
+  log_.TruncateBefore(low_water);
 }
 
 }  // namespace rcc

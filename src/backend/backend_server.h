@@ -17,6 +17,8 @@
 
 namespace rcc {
 
+class CurrencyRegion;
+
 /// The back-end database server: owner of the master data, the commit
 /// history (update log), and the global heartbeat table. All update
 /// transactions run here; the cache forwards queries it cannot (or should
@@ -70,6 +72,23 @@ class BackendServer {
   void RegisterRegionHeartbeat(const RegionDef& region,
                                SimulationScheduler* scheduler);
 
+  /// -- update-log reclamation --------------------------------------------------
+
+  /// Registers a currency region replicated from this server's update log
+  /// (CacheDbms::DefineRegion does this). While registered, the region's
+  /// published applied_log_pos bounds what ReclaimAppliedLog may free.
+  void AddLogReader(const CurrencyRegion* region);
+  void RemoveLogReader(const CurrencyRegion* region);
+
+  /// Frees the update-log prefix every registered region has applied (the
+  /// positions below their minimum applied_log_pos). Positions stay
+  /// absolute, so agents and in-flight batches keep their meaning; a
+  /// quarantined region holds the mark until its resync catches it up. A
+  /// server with no registered region keeps its whole log. Runs on the
+  /// thread that advances virtual time, between scheduler steps — the only
+  /// thread that appends to the log or delivers from it.
+  void ReclaimAppliedLog();
+
   /// -- accessors ------------------------------------------------------------------
   const Catalog& catalog() const { return catalog_; }
   Catalog& mutable_catalog() { return catalog_; }
@@ -94,6 +113,7 @@ class BackendServer {
   std::map<std::string, std::unique_ptr<Table>> tables_;  // lower-case name
   TimestampOracle oracle_;
   UpdateLog log_;
+  std::vector<const CurrencyRegion*> log_readers_;
   HeartbeatStore heartbeat_;
   ExecStats stats_;
   CommitObserver commit_observer_;

@@ -57,6 +57,7 @@ Status CacheDbms::DefineRegion(const RegionDef& def) {
   }
   agent->Start(backend_->clock()->Now() + def.update_interval);
   backend_->RegisterRegionHeartbeat(def, scheduler_);
+  backend_->AddLogReader(region.get());
   if (metrics_ != nullptr) {
     metrics_
         ->gauge(StrPrintf("rcc.replication.region_health.%d",
@@ -234,6 +235,25 @@ Result<QueryPlan> CacheDbms::Prepare(const SelectStmt& stmt,
                                      const OptimizerOptions& opts) const {
   RCC_ASSIGN_OR_RETURN(ResolvedQuery resolved, ResolveQuery(stmt, catalog_));
   return Optimize(std::move(resolved), catalog_, opts);
+}
+
+Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::PrepareEntry(
+    const SelectStmt& stmt, const NormalizedSql& norm, DegradeMode degrade,
+    bool timeordered) const {
+  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(stmt));
+  auto owned = std::make_shared<QueryPlan>(std::move(plan));
+  auto entry = std::make_shared<PlanCacheEntry>();
+  if (norm.ok) {
+    entry->parameterized =
+        ParameterizePlan(owned.get(), norm.slots, catalog_).parameterized;
+    for (const ParamSlot& slot : norm.slots) {
+      entry->creation_values.push_back(slot.value);
+    }
+  }
+  entry->plan = std::move(owned);
+  entry->created_degrade = degrade;
+  entry->created_timeordered = timeordered;
+  return entry;
 }
 
 ExecContext CacheDbms::MakeExecContext(ExecStats* stats,

@@ -49,9 +49,13 @@ class CacheDbms {
 
   /// Stops every distribution agent before the regions they reference are
   /// torn down: scheduler events outliving the cache are cancelled, not
-  /// left to dereference freed regions.
+  /// left to dereference freed regions. The regions also stop holding the
+  /// backend's log low-water mark.
   ~CacheDbms() {
     for (auto& agent : agents_) agent->Stop();
+    for (const auto& [cid, region] : regions_) {
+      backend_->RemoveLogReader(region.get());
+    }
   }
 
   /// -- setup -----------------------------------------------------------------
@@ -118,6 +122,15 @@ class CacheDbms {
   Result<QueryPlan> Prepare(const SelectStmt& stmt) const;
   Result<QueryPlan> Prepare(const SelectStmt& stmt,
                             const OptimizerOptions& opts) const;
+
+  /// Plans `stmt` into a plan-cache entry without publishing it: the plan is
+  /// parameterized over `norm`'s slots (so `stmt` must be parsed from
+  /// `norm`'s text with ParseOptions::record_literal_offsets) and tagged
+  /// with the mode it is created under. The caller executes it with
+  /// creation_values as params and publishes it with plan_cache().Insert.
+  Result<std::shared_ptr<PlanCacheEntry>> PrepareEntry(
+      const SelectStmt& stmt, const NormalizedSql& norm, DegradeMode degrade,
+      bool timeordered) const;
 
   /// Executes a prepared plan. `timeline_floor` < 0 disables timeline mode;
   /// `degrade` controls stale-serve behaviour when the remote branch fails.

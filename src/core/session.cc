@@ -192,13 +192,14 @@ Result<QueryResult> Session::ExecuteSelectSql(const std::string& body,
   // (the cache lookup, audit mode and floor handling below must agree).
   const DegradeMode session_degrade = degrade_mode();
   const bool session_timeordered = in_timeordered();
-  // Fleet routing: plain SELECTs dispatch through the router, which prepares
-  // on the chosen node (per-node plan caches — the anchor's cache key would
-  // be wrong for a peer's view set). EXPLAIN stays local: it describes the
-  // anchor's plan, not a dispatch decision.
+  // Fleet routing: plain SELECTs dispatch through the router, which looks the
+  // text up in every node's own plan cache (the anchor's plan would be wrong
+  // for a peer's view set). EXPLAIN stays local: it describes the anchor's
+  // plan, not a dispatch decision.
   if (router_ != nullptr && !is_explain) {
     RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(body));
-    return ExecuteRouted(*select, session_degrade, session_timeordered, opts);
+    return ExecuteRouted(*select, body, session_degrade, session_timeordered,
+                         opts);
   }
   CacheDbms* cache = system_->cache();
   PlanCache& plan_cache = cache->plan_cache();
@@ -215,20 +216,10 @@ Result<QueryResult> Session::ExecuteSelectSql(const std::string& body,
     ParseOptions popts;
     popts.record_literal_offsets = true;
     RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(body, popts));
-    RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache->Prepare(*select));
-    auto owned = std::make_shared<QueryPlan>(std::move(plan));
-    auto fresh = std::make_shared<PlanCacheEntry>();
-    if (looked.norm.ok) {
-      ParameterizeOutcome po =
-          ParameterizePlan(owned.get(), looked.norm.slots, cache->catalog());
-      fresh->parameterized = po.parameterized;
-      for (const ParamSlot& slot : looked.norm.slots) {
-        fresh->creation_values.push_back(slot.value);
-      }
-    }
-    fresh->plan = owned;
-    fresh->created_degrade = session_degrade;
-    fresh->created_timeordered = session_timeordered;
+    RCC_ASSIGN_OR_RETURN(std::shared_ptr<PlanCacheEntry> fresh,
+                         cache->PrepareEntry(*select, looked.norm,
+                                             session_degrade,
+                                             session_timeordered));
     entry = fresh;
     params = fresh->creation_values;
     plan_cache.Insert(looked.norm, body, session_degrade, session_timeordered,
@@ -277,19 +268,27 @@ Result<QueryResult> Session::ExecuteSelectSql(const std::string& body,
 }
 
 Result<QueryResult> Session::ExecuteRouted(const SelectStmt& stmt,
+                                           std::string_view text,
                                            DegradeMode degrade,
                                            bool timeordered,
                                            const StatementOptions& opts) {
+  std::shared_ptr<obs::QueryTrace> trace;
+  if (trace_enabled()) trace = std::make_shared<obs::QueryTrace>();
   RoutedStatementOptions ro;
+  ro.text = text;
   ro.timeline_floor = timeordered ? timeline_floor() : -1;
   ro.degrade = degrade;
+  ro.timeordered = timeordered;
+  ro.trace = trace.get();
   ro.session_tag = id_;
   ro.deadline = ResolveDeadline(opts);
   ro.shed_hint = opts.shed_hint;
   RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
                        router_->RouteSelect(stmt, ro));
   if (timeordered) RaiseFloor(outcome.max_seen_heartbeat);
-  return MakeQueryResult(std::move(outcome));
+  QueryResult result = MakeQueryResult(std::move(outcome));
+  result.trace = std::move(trace);
+  return result;
 }
 
 Result<QueryResult> Session::ExecuteStatement(const Statement& stmt,
@@ -326,8 +325,8 @@ Result<QueryResult> Session::ExecuteStatement(const Statement& stmt,
 
   const bool session_timeordered = in_timeordered();
   if (router_ != nullptr) {
-    return ExecuteRouted(*stmt.select, degrade_mode(), session_timeordered,
-                         opts);
+    return ExecuteRouted(*stmt.select, /*text=*/{}, degrade_mode(),
+                         session_timeordered, opts);
   }
   CacheDbms* cache = system_->cache();
   RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache->Prepare(*stmt.select));

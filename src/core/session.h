@@ -5,6 +5,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/query_result.h"
@@ -169,10 +170,13 @@ class Session {
                                        bool is_explain, bool is_analyze,
                                        const StatementOptions& opts);
   /// Dispatches one parsed SELECT through the installed router, carrying the
-  /// session's floor/degrade/deadline exactly as the local path would, and
-  /// raises the timeline floor from the routed outcome.
+  /// session's floor/degrade/deadline/trace exactly as the local path would,
+  /// and raises the timeline floor from the routed outcome. `text` is the
+  /// SELECT's source (the per-node plan-cache key); empty when the statement
+  /// arrived pre-parsed, and the router renders it.
   Result<QueryResult> ExecuteRouted(const SelectStmt& stmt,
-                                    DegradeMode degrade, bool timeordered,
+                                    std::string_view text, DegradeMode degrade,
+                                    bool timeordered,
                                     const StatementOptions& opts);
 
   /// CAS-max: lifts the timeline floor to `seen` unless another query

@@ -18,6 +18,13 @@ RccSystem::RccSystem(SystemConfig config)
   cache_.SetMetricsRegistry(&metrics_);
 }
 
+void RccSystem::AdvanceTo(SimTimeMs t) {
+  scheduler_.RunUntil(t);
+  for (BackendServer* backend : reclaimed_backends_) {
+    backend->ReclaimAppliedLog();
+  }
+}
+
 std::unique_ptr<Session> RccSystem::CreateSession() {
   return std::make_unique<Session>(this);
 }

@@ -69,10 +69,20 @@ class RccSystem {
   SimulationScheduler* scheduler() { return &scheduler_; }
 
   /// Advances virtual time to `t`, firing heartbeats, agent wake-ups and
-  /// deliveries along the way.
-  void AdvanceTo(SimTimeMs t) { scheduler_.RunUntil(t); }
+  /// deliveries along the way. Then every backend this scheduler drives
+  /// frees the update-log prefix all of its regions have applied
+  /// (BackendServer::ReclaimAppliedLog), so the log holds only what some
+  /// delivery may still read.
+  void AdvanceTo(SimTimeMs t);
   void AdvanceBy(SimTimeMs delta) { AdvanceTo(clock_.Now() + delta); }
   SimTimeMs Now() const { return clock_.Now(); }
+
+  /// Adds a backend fed by this system's scheduler (a fleet's mirror shard)
+  /// to the log reclamation AdvanceTo runs. It must outlive every later
+  /// AdvanceTo call.
+  void AddReclaimedBackend(BackendServer* backend) {
+    reclaimed_backends_.push_back(backend);
+  }
 
   /// Creates an application session against the cache.
   std::unique_ptr<Session> CreateSession();
@@ -129,6 +139,8 @@ class RccSystem {
   obs::MetricsRegistry metrics_;
   BackendServer backend_;
   CacheDbms cache_;
+  /// Backends AdvanceTo reclaims the applied log prefix of: backend_ first.
+  std::vector<BackendServer*> reclaimed_backends_{&backend_};
   std::unique_ptr<ThreadPool> pool_;
   int pool_workers_ = 0;
   std::atomic<uint64_t> next_session_id_{1};

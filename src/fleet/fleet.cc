@@ -93,6 +93,7 @@ FleetSystem::FleetSystem(FleetConfig config)
   for (int s = 1; s < config_.backend_shards; ++s) {
     extra_shards_.push_back(
         std::make_unique<BackendServer>(anchor_.clock(), config_.costs));
+    anchor_.AddReclaimedBackend(extra_shards_.back().get());
   }
   for (size_t i = 1; i < config_.nodes.size(); ++i) {
     BackendServer* backend = shard(config_.nodes[i].shard);

@@ -14,17 +14,22 @@ namespace fleet {
 class FleetSystem;
 
 /// C&C-aware fleet dispatch (DESIGN.md §16). For each statement the router
-/// derives the constraint's per-table currency requirements (one reference
-/// resolution on the anchor — constraint normalization binds base tables,
-/// which every node shadows identically), probes every node's delivered
-/// currency per requirement (certified heartbeat of the region materializing
-/// the table, the session's timeline floor, the degrade mode), and
-/// dispatches to the cheapest eligible node by the optimizer's Eq. 1 plan
-/// cost (ties to the lowest node id). A failed attempt falls through to the
-/// next-cheapest eligible peer; when no cache node is eligible (or all
-/// eligible ones failed) the statement runs as an all-remote plan on the
-/// anchor — the backend tier. Deadline expiry never falls through: the
-/// budget is spent, retrying elsewhere only adds latency.
+/// looks its text up in every node's plan cache (under the routed degrade
+/// mode and timeordered flag), derives the constraint's per-table currency
+/// requirements from the anchor's plan (constraint normalization binds base
+/// tables, which every node shadows identically), probes every node's
+/// delivered currency per requirement (certified heartbeat of the region
+/// materializing the table, the session's timeline floor, the degrade mode),
+/// and dispatches to the cheapest eligible node by the optimizer's Eq. 1
+/// plan cost (ties to the lowest node id). Costs are compared only between
+/// plans built from the same literal values: when a node misses, or the
+/// hits were built from different values, every node re-plans from this
+/// text and republishes (rcc.fleet.plan_refreshes counts these). A failed
+/// attempt falls through to the next-cheapest eligible peer; when no cache
+/// node is eligible (or all eligible ones failed) the statement runs as an
+/// uncached all-remote plan on the anchor — the backend tier. Deadline
+/// expiry never falls through: the budget is spent, retrying elsewhere only
+/// adds latency.
 ///
 /// Eligibility per probe:
 ///   heartbeat known (certified — quarantine/resync withdraws it)
@@ -51,14 +56,14 @@ class FleetRouter : public StatementRouter {
       const SelectStmt& stmt, const RoutedStatementOptions& opts) override;
 
  private:
-  /// Lazily resolved per-node instruments (rcc.fleet.node.<id>.routed).
-  obs::Counter* RoutedCounter(int node);
-
   FleetSystem* fleet_;
   HistorySink* sink_ = nullptr;
+  // Resolved in the constructor (the topology is fixed), so RouteSelect
+  // records lock-free from any worker thread.
   obs::Counter* fallthroughs_ = nullptr;
   obs::Counter* backend_serves_ = nullptr;
-  std::vector<obs::Counter*> routed_;  // index = node id
+  obs::Counter* plan_refreshes_ = nullptr;
+  std::vector<obs::Counter*> routed_;  // rcc.fleet.node.<id>.routed
 };
 
 }  // namespace fleet

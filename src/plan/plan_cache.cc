@@ -204,6 +204,15 @@ ParameterizeOutcome ParameterizePlan(QueryPlan* plan,
   return out;
 }
 
+bool SameParamValues(const std::vector<Value>& a,
+                     const std::vector<Value>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].type() != b[i].type() || a[i].Compare(b[i]) != 0) return false;
+  }
+  return true;
+}
+
 // ---------------------------------------------------------------------------
 // PlanCache
 
@@ -316,20 +325,11 @@ PlanCache::LookupResult PlanCache::Lookup(std::string_view sql,
   std::vector<Value> params;
   params.reserve(out.norm.slots.size());
   for (const ParamSlot& s : out.norm.slots) params.push_back(s.value);
-  if (!entry->parameterized) {
-    // Value-bound: only an exact value match may reuse the plan. Types
-    // already agree (the template's typed slots force it); compare values.
-    if (params.size() != entry->creation_values.size()) {
-      record_miss();
-      return out;
-    }
-    for (size_t i = 0; i < params.size(); ++i) {
-      if (params[i].type() != entry->creation_values[i].type() ||
-          params[i].Compare(entry->creation_values[i]) != 0) {
-        record_miss();
-        return out;
-      }
-    }
+  if (!entry->parameterized &&
+      !SameParamValues(params, entry->creation_values)) {
+    // Value-bound: only an exact value match may reuse the plan.
+    record_miss();
+    return out;
   }
   // Promote to L1 so the next identical text skips the lexer.
   {

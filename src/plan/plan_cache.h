@@ -76,6 +76,11 @@ struct PlanCacheEntry {
   uint64_t version = 0;
 };
 
+/// True when both value lists have the same length and, position by
+/// position, the same type and value: the test for "built from the same
+/// literals" (a value-bound hit, or two plans whose costs may be compared).
+bool SameParamValues(const std::vector<Value>& a, const std::vector<Value>& b);
+
 /// A successful lookup: the entry plus the parameter values to bind for this
 /// query text (slot order).
 struct PlanCacheHit {

@@ -21,8 +21,10 @@ bool Touches(const CommittedTxn& txn, std::string_view table) {
 
 SimTimeMs XTime(const UpdateLog& log, std::string_view table,
                 TxnTimestamp as_of) {
-  SimTimeMs x = 0;
-  for (size_t i = 0; i < log.size(); ++i) {
+  // Every freed transaction is at or before as_of (the precondition), so the
+  // freed prefix contributes the commit time of its last touch of `table`.
+  SimTimeMs x = log.FreedXTime(table).value_or(0);
+  for (size_t i = log.base(); i < log.size(); ++i) {
     const CommittedTxn& txn = log.at(i);
     if (txn.id > as_of) break;
     if (Touches(txn, table)) x = txn.commit_time;
@@ -33,7 +35,7 @@ SimTimeMs XTime(const UpdateLog& log, std::string_view table,
 std::optional<SimTimeMs> StalePoint(const UpdateLog& log,
                                     std::string_view table,
                                     TxnTimestamp as_of) {
-  for (size_t i = 0; i < log.size(); ++i) {
+  for (size_t i = log.base(); i < log.size(); ++i) {
     const CommittedTxn& txn = log.at(i);
     if (txn.id <= as_of) continue;
     if (Touches(txn, table)) return txn.commit_time;
@@ -55,7 +57,7 @@ bool MutuallyConsistent(const UpdateLog& log,
       if (older.as_of >= newer.as_of) continue;
       // A transaction in (older.as_of, newer.as_of] touching older.table
       // means the older copy misses an update the newer one may reflect.
-      for (size_t i = 0; i < log.size(); ++i) {
+      for (size_t i = log.base(); i < log.size(); ++i) {
         const CommittedTxn& txn = log.at(i);
         if (txn.id <= older.as_of) continue;
         if (txn.id > newer.as_of) break;

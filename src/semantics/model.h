@@ -15,6 +15,13 @@ namespace rcc {
 /// formal notions — xtime, stale point, currency, snapshot consistency and
 /// Δ-consistency — against which the engine's behaviour is validated in
 /// tests and (optionally) at runtime.
+///
+/// The log may have had its applied prefix reclaimed
+/// (UpdateLog::TruncateBefore). Every function below answers exactly as on
+/// the full log as long as each copy's `as_of` is at or after
+/// log.TimestampAtPosition(log.base()) — which holds for any copy a region
+/// can serve, since the backend frees only what every region it feeds has
+/// applied.
 namespace semantics {
 
 /// A replica of one table reflecting back-end snapshot `as_of`

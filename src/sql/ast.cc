@@ -1,5 +1,8 @@
 #include "sql/ast.h"
 
+#include <charconv>
+#include <cmath>
+
 #include "common/strings.h"
 
 namespace rcc {
@@ -34,10 +37,43 @@ std::string_view BinaryOpName(BinaryOp op) {
   return "?";
 }
 
+namespace {
+
+/// A literal as SQL text that parses back to the same type and value:
+/// doubles keep their shortest round-trip digits and a decimal point (so
+/// 2.0 does not come back as the integer 2), strings double their quotes.
+std::string LiteralSql(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kDouble: {
+      char buf[64];
+      char* end = std::to_chars(buf, buf + sizeof(buf), v.AsDouble()).ptr;
+      std::string out(buf, end);
+      if (std::isfinite(v.AsDouble()) &&
+          out.find_first_of(".e") == std::string::npos) {
+        out += ".0";
+      }
+      return out;
+    }
+    case ValueType::kString: {
+      std::string out = "'";
+      for (char c : v.AsString()) {
+        out.push_back(c);
+        if (c == '\'') out.push_back('\'');
+      }
+      out.push_back('\'');
+      return out;
+    }
+    default:
+      return v.ToString();
+  }
+}
+
+}  // namespace
+
 std::string Expr::ToString() const {
   switch (kind) {
     case ExprKind::kLiteral:
-      return literal.ToString();
+      return LiteralSql(literal);
     case ExprKind::kColumnRef:
       return table.empty() ? column : table + "." + column;
     case ExprKind::kBinary:

@@ -9,16 +9,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/fault_injector.h"
 #include "core/statement_router.h"
 #include "fleet/fleet.h"
 #include "fleet/router.h"
+#include "plan/plan_cache.h"
 #include "replication/fault_injector.h"
 #include "sim/history.h"
 #include "sim/oracle.h"
@@ -549,6 +553,346 @@ TEST(FleetShardingTest, MirroredShardsServeIdenticalData) {
                         "CURRENCY BOUND 1 HOUR ON (B)");
   ASSERT_TRUE(loose.ok()) << loose.status().ToString();
   EXPECT_EQ(loose->result.rows.size(), 2u);
+  ExpectNoLeakedPins(&f);
+}
+
+// -- route-time plan reuse ----------------------------------------------------
+
+std::string BooksRangeSql(int64_t below) {
+  return "SELECT isbn, price FROM Books B WHERE B.isbn < " +
+         std::to_string(below) + " CURRENCY BOUND 1 HOUR ON (B)";
+}
+
+std::vector<int64_t> NodeMisses(FleetSystem* f) {
+  std::vector<int64_t> out;
+  for (int n = 1; n <= f->node_count(); ++n) {
+    out.push_back(f->node(n)->plan_cache().misses());
+  }
+  return out;
+}
+
+int64_t PlanRefreshes(FleetSystem* f) {
+  return f->anchor()->metrics().counter("rcc.fleet.plan_refreshes")->value();
+}
+
+/// The node the latest route event dispatched to (0 for the backend tier).
+int LastRoutedNode(const sim::HistoryRecorder& recorder) {
+  const sim::History h = recorder.Snapshot();
+  auto routes = EventsOfKind(h, sim::HistoryEvent::Kind::kRoute);
+  if (routes.empty() || routes.back()->backend_tier) return 0;
+  return routes.back()->node;
+}
+
+/// The router's choice re-derived from scratch: Eq. 1 cost of a fresh
+/// Prepare of `sql` on every node, lowest id on ties. Every node is
+/// eligible under the loose bound these tests use.
+int CheapestByFreshPrepare(FleetSystem* f, const std::string& sql) {
+  auto stmt = ParseSelect(sql);
+  EXPECT_TRUE(stmt.ok());
+  int best = 0;
+  double best_cost = 0;
+  for (int n = 1; n <= f->node_count(); ++n) {
+    auto plan = f->node(n)->Prepare(**stmt);
+    if (!plan.ok()) continue;
+    if (best == 0 || plan->est_cost < best_cost) {
+      best = n;
+      best_cost = plan->est_cost;
+    }
+  }
+  return best;
+}
+
+TEST(FleetPlanCacheTest, RepeatedTemplateAddsNoMisses) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(11);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+
+  // Warm-up: the session path (keyed by the statement text) and the
+  // pre-parsed path (keyed by the rendered statement) each plan once.
+  ASSERT_TRUE(session->Execute(BooksRangeSql(30)).ok());
+  ASSERT_TRUE(RouteSql(&f, BooksRangeSql(30)).ok());
+  const std::vector<int64_t> misses = NodeMisses(&f);
+  const int64_t refreshes = PlanRefreshes(&f);
+  EXPECT_EQ(refreshes, 2);
+
+  for (int64_t below = 5; below < 45; below += 3) {
+    auto res = session->Execute(BooksRangeSql(below));
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_EQ(res->rows.size(), static_cast<size_t>(below - 1));
+    auto routed = RouteSql(&f, BooksRangeSql(below));
+    ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+    EXPECT_EQ(routed->result.rows.size(), static_cast<size_t>(below - 1));
+  }
+  EXPECT_EQ(NodeMisses(&f), misses);
+  EXPECT_EQ(PlanRefreshes(&f), refreshes);
+
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetPlanCacheTest, StatisticsRefreshOnOneNodeRefreshesEveryNodeOnce) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(12);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  ASSERT_TRUE(session->Execute(BooksRangeSql(30)).ok());
+  const int before_winner = LastRoutedNode(recorder);
+  EXPECT_EQ(before_winner, CheapestByFreshPrepare(&f, BooksRangeSql(30)));
+
+  // Node 2 learns that Books is tiny: its local plans get cheaper, and only
+  // its plan cache moves version.
+  TableStats stats = f.node(2)->catalog().GetStats("Books");
+  stats.row_count = 4;
+  stats.avg_row_bytes = 8;
+  ASSERT_TRUE(f.node(2)->UpdateStatistics("Books", stats).ok());
+
+  const std::vector<int64_t> misses = NodeMisses(&f);
+  const int64_t refreshes = PlanRefreshes(&f);
+  ASSERT_TRUE(session->Execute(BooksRangeSql(12)).ok());
+  // Node 2 missed; the others hit with plans built from other literals, so
+  // the router re-planned every node once from this text.
+  EXPECT_EQ(PlanRefreshes(&f), refreshes + 1);
+  std::vector<int64_t> expected_misses = misses;
+  expected_misses[1] += 1;
+  EXPECT_EQ(NodeMisses(&f), expected_misses);
+  const int winner = LastRoutedNode(recorder);
+  EXPECT_EQ(winner, CheapestByFreshPrepare(&f, BooksRangeSql(12)));
+  EXPECT_EQ(winner, 2) << "the statistics refresh should flip the winner";
+
+  // That one refresh serves the template from here on.
+  ASSERT_TRUE(session->Execute(BooksRangeSql(12)).ok());
+  ASSERT_TRUE(session->Execute(BooksRangeSql(19)).ok());
+  EXPECT_EQ(LastRoutedNode(recorder), winner);
+  EXPECT_EQ(PlanRefreshes(&f), refreshes + 1);
+  EXPECT_EQ(NodeMisses(&f), expected_misses);
+
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetPlanCacheTest, QuarantineAndResyncOfOneNodeRefreshesEveryNodeOnce) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(13);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  ASSERT_TRUE(session->Execute(BooksRangeSql(30)).ok());
+
+  // Quarantine node 3, then let it resync: each health transition moves
+  // only node 3's plan-cache version.
+  ReplicationFaultConfig rf;
+  rf.seed = 5;
+  rf.poison_probability = 1.0;
+  f.SetNodeReplicationFaults(3, rf);
+  ASSERT_TRUE(
+      session->Execute("UPDATE Books SET price = price + 1 WHERE isbn <= 10")
+          .ok());
+  for (int i = 0; i < 80 && f.node(3)->RegionHealthOf(BooksRegion(3)) !=
+                                RegionHealth::kQuarantined;
+       ++i) {
+    f.AdvanceBy(500);
+  }
+  ASSERT_EQ(f.node(3)->RegionHealthOf(BooksRegion(3)),
+            RegionHealth::kQuarantined);
+  f.node(3)->ClearReplicationFaults();
+  for (int i = 0; i < 80 && f.node(3)->RegionHealthOf(BooksRegion(3)) !=
+                                RegionHealth::kHealthy;
+       ++i) {
+    f.AdvanceBy(500);
+  }
+  ASSERT_EQ(f.node(3)->RegionHealthOf(BooksRegion(3)),
+            RegionHealth::kHealthy);
+
+  const std::vector<int64_t> misses = NodeMisses(&f);
+  const int64_t refreshes = PlanRefreshes(&f);
+  ASSERT_TRUE(session->Execute(BooksRangeSql(12)).ok());
+  EXPECT_EQ(PlanRefreshes(&f), refreshes + 1);
+  std::vector<int64_t> expected_misses = misses;
+  expected_misses[2] += 1;
+  EXPECT_EQ(NodeMisses(&f), expected_misses);
+  EXPECT_EQ(LastRoutedNode(recorder),
+            CheapestByFreshPrepare(&f, BooksRangeSql(12)));
+
+  ASSERT_TRUE(session->Execute(BooksRangeSql(19)).ok());
+  EXPECT_EQ(PlanRefreshes(&f), refreshes + 1);
+  EXPECT_EQ(NodeMisses(&f), expected_misses);
+
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetPlanCacheTest, DegradeModesNeverShareAnEntry) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(14);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  const std::string sql = BooksRangeSql(30);
+
+  ASSERT_TRUE(session->Execute("SET DEGRADE NONE").ok());
+  ASSERT_TRUE(session->Execute(sql).ok());
+  const std::vector<int64_t> misses = NodeMisses(&f);
+  const int64_t refreshes = PlanRefreshes(&f);
+  // The same text under ALWAYS is a different key on every node.
+  ASSERT_TRUE(session->Execute("SET DEGRADE ALWAYS").ok());
+  ASSERT_TRUE(session->Execute(sql).ok());
+  std::vector<int64_t> expected_misses = misses;
+  for (int64_t& m : expected_misses) ++m;
+  EXPECT_EQ(NodeMisses(&f), expected_misses);
+  EXPECT_EQ(PlanRefreshes(&f), refreshes + 1);
+  // Back under NONE, the NONE entries still serve.
+  ASSERT_TRUE(session->Execute("SET DEGRADE NONE").ok());
+  ASSERT_TRUE(session->Execute(sql).ok());
+  EXPECT_EQ(NodeMisses(&f), expected_misses);
+  EXPECT_EQ(PlanRefreshes(&f), refreshes + 1);
+
+  for (int n = 1; n <= f.node_count(); ++n) {
+    PlanCache& pc = f.node(n)->plan_cache();
+    auto none = pc.Lookup(sql, DegradeMode::kNone, false);
+    auto always = pc.Lookup(sql, DegradeMode::kAlways, false);
+    ASSERT_TRUE(none.hit.has_value()) << "node " << n;
+    ASSERT_TRUE(always.hit.has_value()) << "node " << n;
+    EXPECT_NE(none.hit->entry, always.hit->entry) << "node " << n;
+    EXPECT_EQ(none.hit->entry->created_degrade, DegradeMode::kNone);
+    EXPECT_EQ(always.hit->entry->created_degrade, DegradeMode::kAlways);
+  }
+
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetSessionTest, TraceOnCarriesTheServingNodesGuardEvents) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(15);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+
+  auto quiet = session->Execute(BooksRangeSql(30));
+  ASSERT_TRUE(quiet.ok()) << quiet.status().ToString();
+  EXPECT_EQ(quiet->trace, nullptr);
+
+  ASSERT_TRUE(session->Execute("SET TRACE ON").ok());
+  auto traced = session->Execute(BooksRangeSql(30));
+  ASSERT_TRUE(traced.ok()) << traced.status().ToString();
+  ASSERT_NE(traced->trace, nullptr);
+  const int node = LastRoutedNode(recorder);
+  ASSERT_GT(node, 0);
+  ASSERT_GT(traced->trace->CountOf(obs::TraceEventKind::kGuardProbe), 0);
+  for (const obs::TraceEvent& ev : traced->trace->events()) {
+    if (ev.kind == obs::TraceEventKind::kGuardProbe) {
+      EXPECT_EQ(ev.region, BooksRegion(node)) << ev.detail;
+    }
+  }
+  ExpectNoLeakedPins(&f);
+}
+
+TEST(FleetConcurrencyTest, RoutedSessionHammerDuringQuarantine) {
+  // Routed sessions on pool-like threads while the simulation thread pokes
+  // a node into quarantine and back — the server's locking discipline:
+  // statements shared, virtual-time steps and DML exclusive. Runs under
+  // TSan via the `tsan` label.
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(16);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  f.BeginConcurrentBatch();
+  std::shared_mutex engine_mu;
+  // glibc's rwlock prefers readers; this flag keeps four looping readers
+  // from starving the simulation thread.
+  std::atomic<bool> writer_waiting{false};
+  auto exclusive = [&] {
+    writer_waiting.store(true, std::memory_order_release);
+    std::unique_lock<std::shared_mutex> lock(engine_mu);
+    writer_waiting.store(false, std::memory_order_release);
+    return lock;
+  };
+  std::atomic<bool> stop{false};
+  std::atomic<int64_t> failures{0};
+  std::atomic<int64_t> answered{0};
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      std::unique_ptr<Session> session = f.CreateSession();
+      {
+        // Control statements read the virtual clock too: shared, like the
+        // server runs them.
+        std::shared_lock<std::shared_mutex> lock(engine_mu);
+        session->Execute(t % 2 == 0 ? "SET DEGRADE NONE"
+                                    : "SET DEGRADE ALWAYS");
+      }
+      for (int i = 0; !stop.load(std::memory_order_acquire); ++i) {
+        while (writer_waiting.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+        std::shared_lock<std::shared_mutex> lock(engine_mu);
+        std::string sql =
+            i % 3 == 2 ? "SELECT isbn, rating FROM Reviews R WHERE R.isbn < " +
+                             std::to_string(5 + i % 20) +
+                             " CURRENCY BOUND 1 HOUR ON (R)"
+                       : BooksRangeSql(5 + (i * 7 + t) % 40);
+        auto res = session->Execute(sql);
+        if (res.ok()) {
+          answered.fetch_add(1, std::memory_order_relaxed);
+        } else {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+
+  std::unique_ptr<Session> dml = f.anchor()->CreateSession();
+  ReplicationFaultConfig rf;
+  rf.seed = 8;
+  rf.poison_probability = 1.0;
+  {
+    auto lock = exclusive();
+    f.SetNodeReplicationFaults(2, rf);
+  }
+  bool quarantined = false;
+  for (int step = 0; step < 120; ++step) {
+    // Let the readers make progress between steps (bounded, so a stuck
+    // reader fails the answered/failures checks instead of hanging).
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (answered.load(std::memory_order_relaxed) +
+                   failures.load(std::memory_order_relaxed) <
+               4 * step &&
+           std::chrono::steady_clock::now() < until) {
+      std::this_thread::yield();
+    }
+    auto lock = exclusive();
+    if (step % 4 == 0) {
+      ASSERT_TRUE(dml->Execute("UPDATE Books SET price = price + 1 "
+                               "WHERE isbn = " +
+                               std::to_string(1 + step % 50))
+                      .ok());
+    }
+    f.AdvanceBy(250);
+    if (!quarantined && f.node(2)->RegionHealthOf(BooksRegion(2)) ==
+                            RegionHealth::kQuarantined) {
+      quarantined = true;
+      f.node(2)->ClearReplicationFaults();
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+  f.EndConcurrentBatch();
+
+  EXPECT_TRUE(quarantined);
+  EXPECT_EQ(f.node(2)->RegionHealthOf(BooksRegion(2)), RegionHealth::kHealthy);
+  EXPECT_GE(answered.load(), 4 * 119);
+  EXPECT_EQ(failures.load(), 0);
+  sim::OracleReport report = sim::CheckHistory(recorder.Snapshot());
+  EXPECT_TRUE(report.ok()) << report.Summary();
   ExpectNoLeakedPins(&f);
 }
 

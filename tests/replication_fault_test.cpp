@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -238,6 +239,36 @@ TEST_F(FaultAgentTest, DuplicateDeliveriesAreIdempotent) {
   ExpectViewMatchesMaster();
   EXPECT_EQ(region_->health(), RegionHealth::kHealthy);
   EXPECT_GT(agent_->fault_injector()->batches_duplicated(), 0);
+  CheckHeartbeatInvariant();
+}
+
+TEST_F(FaultAgentTest, DelayedAndDuplicateBatchesAcrossTruncation) {
+  Setup(5000, 1000);
+  // Late batches land behind later ones and duplicates land twice, while
+  // the log's applied prefix is freed between steps, as the backend does.
+  ReplicationFaultConfig faults;
+  faults.seed = 13;
+  faults.delay_probability = 0.5;
+  faults.delay_ms = 7000;
+  faults.duplicate_probability = 0.5;
+  agent_->SetFaultConfig(faults);
+  agent_->set_quarantine_after(1 << 20);
+  Rng rng(8);
+  for (int i = 0; i < 80; ++i) {
+    CommitRandom(&rng);
+    log_.TruncateBefore(region_->applied_log_pos());
+    CheckHeartbeatInvariant();
+  }
+  EXPECT_GT(log_.base(), 0u);
+  EXPECT_GT(agent_->stale_batches_rejected(), 0);
+  EXPECT_GT(agent_->fault_injector()->batches_duplicated(), 0);
+  agent_->ClearFaultConfig();
+  sched_.RunUntil(clock_.Now() + 30000);
+  log_.TruncateBefore(region_->applied_log_pos());
+  ExpectViewMatchesMaster();
+  EXPECT_EQ(region_->applied_log_pos(), log_.size());
+  EXPECT_EQ(log_.base(), log_.size());
+  EXPECT_EQ(region_->as_of(), log_.TimestampAtPosition(log_.base()));
   CheckHeartbeatInvariant();
 }
 
@@ -588,6 +619,85 @@ TEST(ReplicationFaultSystemTest, MetricsExportHealthGaugeAndCounters) {
   std::string json = fx.sys.metrics().ToJson();
   EXPECT_NE(json.find("rcc.replication.region_health.1"), std::string::npos);
   EXPECT_NE(json.find("rcc.replication.region_health.2"), std::string::npos);
+}
+
+TEST(ReplicationFaultSystemTest, QuarantinedRegionHoldsLogLowWaterUntilResync) {
+  BookstoreFixture fx(5000, 1000);
+  fx.sys.AdvanceTo(12000);
+  CacheDbms* cache = fx.sys.cache();
+  DistributionAgent* books_agent = nullptr;
+  for (const auto& agent : cache->agents()) {
+    if (agent->region()->id() == 1) books_agent = agent.get();
+  }
+  ASSERT_NE(books_agent, nullptr);
+  const UpdateLog& log = fx.sys.backend()->log();
+  auto write = [&](int i) {
+    MustExecute(fx.session.get(), "UPDATE Books SET price = " +
+                                      std::to_string(10 + i) +
+                                      " WHERE isbn = " +
+                                      std::to_string(1 + i % 40));
+  };
+
+  ReplicationFaultConfig poison;
+  poison.poison_probability = 1.0;
+  books_agent->SetFaultConfig(poison);
+  int i = 0;
+  for (; i < 100 && cache->RegionHealthOf(1) != RegionHealth::kQuarantined;
+       ++i) {
+    write(i);
+    fx.sys.AdvanceBy(250);
+  }
+  ASSERT_EQ(cache->RegionHealthOf(1), RegionHealth::kQuarantined);
+  books_agent->ClearFaultConfig();
+
+  // Out of service, region 1 keeps its last applied position; the log
+  // keeps everything after it however far region 2 gets.
+  const size_t held = cache->region(1)->applied_log_pos();
+  bool passed = false;
+  for (; i < 200 && cache->RegionHealthOf(1) != RegionHealth::kHealthy; ++i) {
+    EXPECT_EQ(log.base(), held);
+    passed = passed || cache->region(2)->applied_log_pos() > held;
+    write(i);
+    fx.sys.AdvanceBy(250);
+  }
+  EXPECT_TRUE(passed) << "region 2 never applied past the held mark";
+  ASSERT_EQ(cache->RegionHealthOf(1), RegionHealth::kHealthy);
+  // The resync caught region 1 up; the mark moves on with both regions.
+  EXPECT_GT(log.base(), held);
+  EXPECT_EQ(log.base(), std::min(cache->region(1)->applied_log_pos(),
+                                 cache->region(2)->applied_log_pos()));
+}
+
+TEST(ReplicationFaultSystemTest, RetainedLogStaysBoundedOverManyUpdates) {
+  BookstoreFixture fx(5000, 1000);
+  fx.sys.AdvanceTo(12000);
+  BackendServer* backend = fx.sys.backend();
+  const size_t start = backend->log().size();
+  const Table* books = backend->table("Books");
+  size_t max_retained = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const Row* row = books->Get({Value::Int(1 + i % 100)});
+    ASSERT_NE(row, nullptr);
+    RowOp op;
+    op.kind = RowOp::Kind::kUpdate;
+    op.table = "Books";
+    op.row = *row;
+    op.row[2] = Value::Double(5 + i % 90);
+    ASSERT_TRUE(backend->ExecuteTransaction({op}).ok());
+    if (i % 5 == 4) fx.sys.AdvanceBy(50);
+    max_retained = std::max(max_retained,
+                            backend->log().size() - backend->log().base());
+  }
+  // Positions stay absolute, and the log only holds what some region has
+  // yet to apply: at most the commits of one update interval plus one
+  // delay (5 per 50 ms over 6 s = 600), never the 20k written.
+  EXPECT_EQ(backend->log().size(), start + 20000);
+  EXPECT_LE(max_retained, 600u + 5u);
+  int64_t deliveries = 0;
+  for (const auto& agent : fx.sys.cache()->agents()) {
+    deliveries += agent->deliveries();
+  }
+  EXPECT_GT(deliveries, 2 * 35);
 }
 
 TEST(ReplicationFaultSystemTest, PooledReadersNeverSeeDataBehindHeartbeat) {

@@ -389,5 +389,54 @@ TEST_F(ModelTest, GroupDistanceIsMaxPairwise) {
   EXPECT_EQ(d, 100);
 }
 
+TEST(ModelTruncationTest, AnswersAreIdenticalWithAndWithoutTruncation) {
+  // One history appended to two logs; one of them has its prefix freed at
+  // every possible position. For every copy at or after the freed prefix's
+  // last timestamp (the only copies a region can still serve), the model
+  // answers exactly as on the full log.
+  const char* kWritten[] = {"A", "B", "C"};
+  std::vector<CommittedTxn> history;
+  for (TxnTimestamp id = 1; id <= 12; ++id) {
+    history.push_back(Touch(id, static_cast<SimTimeMs>(id) * 100,
+                            kWritten[(id * 5) % 3]));
+  }
+  // Lower case: the model matches table names case-insensitively. D is never
+  // written.
+  const char* kTables[] = {"a", "B", "C", "D"};
+  for (size_t cut = 0; cut <= history.size(); ++cut) {
+    UpdateLog full;
+    UpdateLog truncated;
+    for (const CommittedTxn& txn : history) {
+      full.Append(txn);
+      truncated.Append(txn);
+    }
+    truncated.TruncateBefore(cut);
+    ASSERT_EQ(truncated.base(), cut);
+    const TxnTimestamp oldest = truncated.TimestampAtPosition(truncated.base());
+    for (TxnTimestamp as_of = oldest; as_of <= 12; ++as_of) {
+      for (const char* table : kTables) {
+        SCOPED_TRACE(testing::Message() << "cut " << cut << " as_of " << as_of
+                                        << " table " << table);
+        EXPECT_EQ(semantics::XTime(truncated, table, as_of),
+                  semantics::XTime(full, table, as_of));
+        EXPECT_EQ(semantics::StalePoint(truncated, table, as_of),
+                  semantics::StalePoint(full, table, as_of));
+        for (SimTimeMs now : {0, 450, 1250, 5000}) {
+          EXPECT_EQ(semantics::CurrencyOf(truncated, table, as_of, now),
+                    semantics::CurrencyOf(full, table, as_of, now));
+        }
+        for (TxnTimestamp other = oldest; other <= 12; ++other) {
+          std::vector<semantics::CopyState> copies = {{table, as_of},
+                                                      {"B", other}};
+          EXPECT_EQ(semantics::MutuallyConsistent(truncated, copies),
+                    semantics::MutuallyConsistent(full, copies));
+          EXPECT_EQ(semantics::Distance(truncated, copies[0], copies[1]),
+                    semantics::Distance(full, copies[0], copies[1]));
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rcc

@@ -350,6 +350,35 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM s WHERE s.x = t.a)",
         "SELECT a FROM t CURRENCY BOUND 10 MIN ON (t) BY t.a"));
 
+void CollectLiterals(const Expr* e, std::vector<Value>* out) {
+  if (e == nullptr) return;
+  if (e->kind == ExprKind::kLiteral) out->push_back(e->literal);
+  CollectLiterals(e->left.get(), out);
+  CollectLiterals(e->right.get(), out);
+}
+
+TEST(RoundTripLiteralTest, RenderedLiteralsKeepTypeAndValue) {
+  // The fleet router keys pre-parsed statements by their rendering, so a
+  // rendered literal must parse back to exactly the value it came from.
+  auto stmt = ParseSelect(
+      "SELECT a FROM t WHERE a = 2.0 AND b = 0.1234567890123 AND "
+      "c = 'it''s' AND d = 1e300 AND e = 7 AND f = 2.5");
+  ASSERT_TRUE(stmt.ok());
+  std::string rendered = (*stmt)->ToString();
+  auto again = ParseSelect(rendered);
+  ASSERT_TRUE(again.ok()) << rendered;
+  std::vector<Value> before;
+  std::vector<Value> after;
+  CollectLiterals((*stmt)->where.get(), &before);
+  CollectLiterals((*again)->where.get(), &after);
+  ASSERT_EQ(before.size(), 6u);
+  ASSERT_EQ(after.size(), before.size()) << rendered;
+  for (size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].type(), before[i].type()) << rendered;
+    EXPECT_EQ(after[i].Compare(before[i]), 0) << rendered;
+  }
+}
+
 TEST(CloneTest, DeepCopyIsIndependent) {
   auto stmt = ParseSelect(
       "SELECT a FROM t WHERE EXISTS (SELECT 1 FROM s WHERE s.x = t.a) "
