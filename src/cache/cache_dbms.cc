@@ -2,6 +2,7 @@
 
 #include "common/strings.h"
 #include "semantics/resolver.h"
+#include "sql/parser.h"
 
 namespace rcc {
 
@@ -256,6 +257,26 @@ Result<std::shared_ptr<PlanCacheEntry>> CacheDbms::PrepareEntry(
   return entry;
 }
 
+Result<PlanCacheHit> CacheDbms::LookupOrPrepare(std::string_view text,
+                                                DegradeMode degrade,
+                                                bool timeordered,
+                                                bool* cached) {
+  PlanCache::LookupResult looked =
+      plan_cache_.Lookup(text, degrade, timeordered);
+  if (cached != nullptr) *cached = looked.hit.has_value();
+  if (looked.hit.has_value()) return std::move(*looked.hit);
+  ParseOptions popts;
+  popts.record_literal_offsets = true;
+  RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(text, popts));
+  RCC_ASSIGN_OR_RETURN(std::shared_ptr<PlanCacheEntry> fresh,
+                       PrepareEntry(*select, looked.norm, degrade,
+                                    timeordered));
+  PlanCacheHit prepared{fresh, fresh->creation_values};
+  plan_cache_.Insert(looked.norm, text, degrade, timeordered, std::move(fresh),
+                     looked.version_at_lookup);
+  return prepared;
+}
+
 ExecContext CacheDbms::MakeExecContext(ExecStats* stats,
                                        SimTimeMs timeline_floor,
                                        DegradeMode degrade,
@@ -308,19 +329,6 @@ ExecContext CacheDbms::MakeExecContext(ExecStats* stats,
   ctx.trace = trace;
   ctx.guard_probe_hist = inst_.guard_probe_ms;
   return ctx;
-}
-
-Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(const QueryPlan& plan,
-                                                     SimTimeMs timeline_floor,
-                                                     DegradeMode degrade,
-                                                     obs::QueryTrace* trace,
-                                                     uint64_t session_tag) {
-  PreparedExecOptions opts;
-  opts.timeline_floor = timeline_floor;
-  opts.degrade = degrade;
-  opts.trace = trace;
-  opts.session_tag = session_tag;
-  return ExecutePrepared(plan, opts);
 }
 
 Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
@@ -416,20 +424,10 @@ Result<CacheQueryOutcome> CacheDbms::ExecutePrepared(
   if (!executed.ok()) return executed.status();
   out.result = std::move(executed).value();
   out.shape = plan.Shape();
-  out.plan_text = plan.DescribeTree();
   out.constraint = plan.resolved.constraint;
   out.executed_at = backend_->clock()->Now();
   out.max_seen_heartbeat = out.stats.max_seen_heartbeat;
   return out;
-}
-
-Result<CacheQueryOutcome> CacheDbms::Execute(const SelectStmt& stmt,
-                                             SimTimeMs timeline_floor,
-                                             DegradeMode degrade,
-                                             obs::QueryTrace* trace,
-                                             uint64_t session_tag) {
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, Prepare(stmt));
-  return ExecutePrepared(plan, timeline_floor, degrade, trace, session_tag);
 }
 
 void CacheDbms::SetMetricsRegistry(obs::MetricsRegistry* registry) {

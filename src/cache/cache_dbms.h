@@ -25,11 +25,48 @@ struct CacheQueryOutcome {
   ExecutedQuery result;
   ExecStats stats;
   PlanShape shape = PlanShape::kRemoteOnly;
-  std::string plan_text;
   NormalizedConstraint constraint;
   SimTimeMs executed_at = 0;
   /// Highest source snapshot time the query observed (timeline tracking).
   SimTimeMs max_seen_heartbeat = -1;
+};
+
+/// How ExecutePrepared runs a plan.
+struct PreparedExecOptions {
+  /// Timeline floor (< 0 disables timeline mode).
+  SimTimeMs timeline_floor = -1;
+  /// Mode the query *behaves* under — refusal ladder, degraded serves.
+  /// For a cached plan this is the mode the plan was created under.
+  DegradeMode degrade = DegradeMode::kNone;
+  /// Mode recorded in the audit history (defaults to `degrade`). The
+  /// session's *current* mode: under a correct cache key the two always
+  /// agree, so any divergence (a plan created under ALWAYS served while
+  /// the session is at NONE — the RCC_PLANCACHE_MUTATE planted bug) shows
+  /// up as a degraded serve recorded under a mode that never authorized
+  /// one, which the conformance oracle's R3 rule rejects.
+  std::optional<DegradeMode> audit_degrade;
+  /// Receives the query's structured event trace (guard probes, switch
+  /// decisions, retry/breaker events, degraded serves, and — in serial
+  /// mode — replication deliveries landing mid-query).
+  obs::QueryTrace* trace = nullptr;
+  /// Identifies the issuing session in the audit history (0 = anonymous).
+  uint64_t session_tag = 0;
+  /// Execution-time parameter values for kParam slots of a cached plan.
+  const std::vector<Value>* params = nullptr;
+  /// Real-time cancellation deadline (default: none). Checked at executor
+  /// batch boundaries and in the remote retry loop; an expired statement
+  /// answers DeadlineExceeded and releases its snapshot pin immediately.
+  Deadline deadline;
+  /// Overload-shedding hint from the admission layer: prefer the permitted
+  /// degraded-local branch over a remote round-trip (see
+  /// SwitchUnionIterator::ShedEligible — guard semantics are never
+  /// weakened).
+  bool shed_hint = false;
+  /// Audit query id pre-allocated by the caller (the fleet router opens
+  /// the query with BeginQuery so its route observation and this
+  /// execution's guard/serve/answer events correlate). 0 = allocate here,
+  /// as every non-routed caller does.
+  uint64_t history_query_id = 0;
 };
 
 /// MTCache: the mid-tier database cache (paper §3). It holds a shadow
@@ -132,60 +169,22 @@ class CacheDbms {
       const SelectStmt& stmt, const NormalizedSql& norm, DegradeMode degrade,
       bool timeordered) const;
 
-  /// Executes a prepared plan. `timeline_floor` < 0 disables timeline mode;
-  /// `degrade` controls stale-serve behaviour when the remote branch fails.
-  /// `trace`, when non-null, receives the query's structured event trace
-  /// (guard probes, switch decisions, retry/breaker events, degraded serves,
-  /// and — in serial mode — replication deliveries landing mid-query).
-  /// `session_tag` identifies the issuing session in the audit history
-  /// (0 = anonymous caller).
+  /// Looks `text` (a SELECT) up in the plan cache under (degrade,
+  /// timeordered); on a miss parses it with literal offsets, plans it
+  /// (PrepareEntry) and publishes the entry. Returns the entry with the
+  /// params to bind; `*cached`, when given, says whether the lookup hit.
+  /// Every SELECT a session or a batch runs on this cache comes through here.
+  Result<PlanCacheHit> LookupOrPrepare(std::string_view text,
+                                       DegradeMode degrade, bool timeordered,
+                                       bool* cached = nullptr);
+
+  /// Spelled CacheDbms::PreparedExecOptions at call sites; declared at
+  /// namespace scope so ExecutePrepared can default it (GCC rejects a nested
+  /// struct's default member initializers in a default argument).
+  using PreparedExecOptions = rcc::PreparedExecOptions;
+  /// Executes a prepared plan: the only execution entry of the cache.
   Result<CacheQueryOutcome> ExecutePrepared(
-      const QueryPlan& plan, SimTimeMs timeline_floor = -1,
-      DegradeMode degrade = DegradeMode::kNone,
-      obs::QueryTrace* trace = nullptr, uint64_t session_tag = 0);
-
-  /// Everything ExecutePrepared needs, in struct form (the plan-cache fast
-  /// path has more knobs than positional arguments stay readable for).
-  struct PreparedExecOptions {
-    SimTimeMs timeline_floor = -1;
-    /// Mode the query *behaves* under — refusal ladder, degraded serves.
-    /// For a cached plan this is the mode the plan was created under.
-    DegradeMode degrade = DegradeMode::kNone;
-    /// Mode recorded in the audit history (defaults to `degrade`). The
-    /// session's *current* mode: under a correct cache key the two always
-    /// agree, so any divergence (a plan created under ALWAYS served while
-    /// the session is at NONE — the RCC_PLANCACHE_MUTATE planted bug) shows
-    /// up as a degraded serve recorded under a mode that never authorized
-    /// one, which the conformance oracle's R3 rule rejects.
-    std::optional<DegradeMode> audit_degrade;
-    obs::QueryTrace* trace = nullptr;
-    uint64_t session_tag = 0;
-    /// Execution-time parameter values for kParam slots of a cached plan.
-    const std::vector<Value>* params = nullptr;
-    /// Real-time cancellation deadline (default: none). Checked at executor
-    /// batch boundaries and in the remote retry loop; an expired statement
-    /// answers DeadlineExceeded and releases its snapshot pin immediately.
-    Deadline deadline;
-    /// Overload-shedding hint from the admission layer: prefer the permitted
-    /// degraded-local branch over a remote round-trip (see
-    /// SwitchUnionIterator::ShedEligible — guard semantics are never
-    /// weakened).
-    bool shed_hint = false;
-    /// Audit query id pre-allocated by the caller (the fleet router opens
-    /// the query with BeginQuery so its route observation and this
-    /// execution's guard/serve/answer events correlate). 0 = allocate here,
-    /// as every non-routed caller does.
-    uint64_t history_query_id = 0;
-  };
-  Result<CacheQueryOutcome> ExecutePrepared(const QueryPlan& plan,
-                                            const PreparedExecOptions& opts);
-
-  /// Full pipeline: resolve + optimize + execute.
-  Result<CacheQueryOutcome> Execute(const SelectStmt& stmt,
-                                    SimTimeMs timeline_floor = -1,
-                                    DegradeMode degrade = DegradeMode::kNone,
-                                    obs::QueryTrace* trace = nullptr,
-                                    uint64_t session_tag = 0);
+      const QueryPlan& plan, const PreparedExecOptions& opts = {});
 
   /// -- concurrent batch mode ---------------------------------------------------
 

@@ -17,7 +17,7 @@ struct QueryResult {
   std::vector<Row> rows;
   /// Coarse plan shape (paper Fig. 4.1 classes).
   PlanShape shape = PlanShape::kRemoteOnly;
-  /// Full plan rendering.
+  /// Full plan rendering; filled by EXPLAIN and EXPLAIN ANALYZE only.
   std::string plan_text;
   ExecStats stats;
   /// The normalized C&C constraint the plan was required to satisfy.

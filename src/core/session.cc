@@ -14,13 +14,17 @@ namespace rcc {
 
 namespace {
 
+/// Skips whitespace and `--` line comments, as the lexer does.
 size_t SkipSpace(const std::string& s, size_t i) {
-  while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  return i;
+  for (;;) {
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+    if (s.compare(i, 2, "--") != 0) return i;
+    while (i < s.size() && s[i] != '\n') ++i;
+  }
 }
 
 /// Consumes `word` (case-insensitive, whole-word) at *pos after skipping
-/// whitespace; advances *pos past it on match.
+/// whitespace and comments; advances *pos past it on match.
 bool MatchWord(const std::string& s, size_t* pos, const char* word) {
   size_t i = SkipSpace(s, *pos);
   size_t j = 0;
@@ -177,56 +181,36 @@ Result<QueryResult> Session::Execute(const std::string& sql,
   bool is_analyze = false;
   size_t body_pos = 0;
   if (SniffSelect(sql, &body_pos, &is_explain, &is_analyze)) {
-    return ExecuteSelectSql(sql.substr(body_pos), is_explain, is_analyze,
-                            opts);
+    return ExecuteSelect(std::string_view(sql).substr(body_pos), is_explain,
+                         is_analyze, opts);
   }
   RCC_ASSIGN_OR_RETURN(Statement stmt, ParseStatement(sql));
   return ExecuteStatement(stmt, opts);
 }
 
-Result<QueryResult> Session::ExecuteSelectSql(const std::string& body,
-                                              bool is_explain, bool is_analyze,
-                                              const StatementOptions& opts) {
+Result<QueryResult> Session::ExecuteSelect(std::string_view body,
+                                           bool is_explain, bool is_analyze,
+                                           const StatementOptions& opts) {
   // Read the session modes exactly once: a concurrent SET DEGRADE / BEGIN
   // TIMEORDERED takes effect at the next query's admission, never mid-query
   // (the cache lookup, audit mode and floor handling below must agree).
   const DegradeMode session_degrade = degrade_mode();
   const bool session_timeordered = in_timeordered();
+  CacheDbms* cache = system_->cache();
   // Fleet routing: plain SELECTs dispatch through the router, which looks the
   // text up in every node's own plan cache (the anchor's plan would be wrong
   // for a peer's view set). EXPLAIN stays local: it describes the anchor's
   // plan, not a dispatch decision.
-  if (router_ != nullptr && !is_explain) {
-    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(body));
-    return ExecuteRouted(*select, body, session_degrade, session_timeordered,
-                         opts);
-  }
-  CacheDbms* cache = system_->cache();
-  PlanCache& plan_cache = cache->plan_cache();
-  PlanCache::LookupResult looked =
-      plan_cache.Lookup(body, session_degrade, session_timeordered);
-  std::shared_ptr<const PlanCacheEntry> entry;
-  std::vector<Value> params;
+  const bool routed = router_ != nullptr && !is_explain;
+  PlanCacheHit prepared;
   bool cached = false;
-  if (looked.hit.has_value()) {
-    entry = looked.hit->entry;
-    params = std::move(looked.hit->params);
-    cached = true;
-  } else {
-    ParseOptions popts;
-    popts.record_literal_offsets = true;
-    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(body, popts));
-    RCC_ASSIGN_OR_RETURN(std::shared_ptr<PlanCacheEntry> fresh,
-                         cache->PrepareEntry(*select, looked.norm,
-                                             session_degrade,
-                                             session_timeordered));
-    entry = fresh;
-    params = fresh->creation_values;
-    plan_cache.Insert(looked.norm, body, session_degrade, session_timeordered,
-                      std::move(fresh), looked.version_at_lookup);
+  if (!routed) {
+    RCC_ASSIGN_OR_RETURN(prepared,
+                         cache->LookupOrPrepare(body, session_degrade,
+                                                session_timeordered, &cached));
   }
-  const QueryPlan& plan = *entry->plan;
   if (is_explain && !is_analyze) {
+    const QueryPlan& plan = *prepared.entry->plan;
     QueryResult out;
     out.shape = plan.Shape();
     out.plan_text = plan.DescribeTree();
@@ -235,58 +219,53 @@ Result<QueryResult> Session::ExecuteSelectSql(const std::string& body,
     out.executed_at = system_->Now();
     return out;
   }
-  SimTimeMs floor = session_timeordered ? timeline_floor() : -1;
   std::shared_ptr<obs::QueryTrace> trace;
   if (trace_enabled() || is_analyze) {
     trace = std::make_shared<obs::QueryTrace>();
   }
-  CacheDbms::PreparedExecOptions eo;
-  eo.timeline_floor = floor;
-  // The query *behaves* under the mode the plan was created for and is
-  // *audited* under the session's current mode. On every legitimate hit the
-  // two agree — the cache key separates degrade modes — so the split is
-  // invisible; under the RCC_PLANCACHE_MUTATE build (key drops the mode)
-  // they diverge and the conformance oracle sees a degraded serve recorded
-  // under a mode that never authorized one.
-  eo.degrade = entry->created_degrade;
-  eo.audit_degrade = session_degrade;
-  eo.trace = trace.get();
-  eo.session_tag = id_;
-  eo.params = &params;
-  eo.deadline = ResolveDeadline(opts);
-  eo.shed_hint = opts.shed_hint;
-  RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                       cache->ExecutePrepared(plan, eo));
-  if (session_timeordered) RaiseFloor(outcome.max_seen_heartbeat);
+  const SimTimeMs floor = session_timeordered ? timeline_floor() : -1;
+  CacheQueryOutcome outcome;
+  if (routed) {
+    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(body));
+    RoutedStatementOptions ro;
+    ro.text = body;
+    ro.timeline_floor = floor;
+    ro.degrade = session_degrade;
+    ro.timeordered = session_timeordered;
+    ro.trace = trace.get();
+    ro.session_tag = id_;
+    ro.deadline = ResolveDeadline(opts);
+    ro.shed_hint = opts.shed_hint;
+    RCC_ASSIGN_OR_RETURN(outcome, router_->RouteSelect(*select, ro));
+  } else {
+    CacheDbms::PreparedExecOptions eo;
+    eo.timeline_floor = floor;
+    // The query *behaves* under the mode the plan was created for and is
+    // *audited* under the session's current mode. On every legitimate hit
+    // the two agree — the cache key separates degrade modes — so the split
+    // is invisible; under the RCC_PLANCACHE_MUTATE build (key drops the
+    // mode) they diverge and the conformance oracle sees a degraded serve
+    // recorded under a mode that never authorized one.
+    eo.degrade = prepared.entry->created_degrade;
+    eo.audit_degrade = session_degrade;
+    eo.trace = trace.get();
+    eo.session_tag = id_;
+    eo.params = &prepared.params;
+    eo.deadline = ResolveDeadline(opts);
+    eo.shed_hint = opts.shed_hint;
+    RCC_ASSIGN_OR_RETURN(outcome,
+                         cache->ExecutePrepared(*prepared.entry->plan, eo));
+  }
+  if (session_timeordered) {
+    RaiseFloor(&timeline_floor_, outcome.max_seen_heartbeat);
+  }
   QueryResult result = MakeQueryResult(std::move(outcome));
   if (is_analyze) {
+    const QueryPlan& plan = *prepared.entry->plan;
+    result.plan_text = plan.DescribeTree();
     result.message =
         obs::RenderExplainAnalyze(plan, result.stats, *trace, cached);
   }
-  result.trace = std::move(trace);
-  return result;
-}
-
-Result<QueryResult> Session::ExecuteRouted(const SelectStmt& stmt,
-                                           std::string_view text,
-                                           DegradeMode degrade,
-                                           bool timeordered,
-                                           const StatementOptions& opts) {
-  std::shared_ptr<obs::QueryTrace> trace;
-  if (trace_enabled()) trace = std::make_shared<obs::QueryTrace>();
-  RoutedStatementOptions ro;
-  ro.text = text;
-  ro.timeline_floor = timeordered ? timeline_floor() : -1;
-  ro.degrade = degrade;
-  ro.timeordered = timeordered;
-  ro.trace = trace.get();
-  ro.session_tag = id_;
-  ro.deadline = ResolveDeadline(opts);
-  ro.shed_hint = opts.shed_hint;
-  RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                       router_->RouteSelect(stmt, ro));
-  if (timeordered) RaiseFloor(outcome.max_seen_heartbeat);
-  QueryResult result = MakeQueryResult(std::move(outcome));
   result.trace = std::move(trace);
   return result;
 }
@@ -318,60 +297,14 @@ Result<QueryResult> Session::ExecuteStatement(const Statement& stmt,
       out.message = "timeline consistency OFF";
       return out;
     case StatementKind::kExplain:
-      return ExecuteExplain(stmt);
     case StatementKind::kSelect:
-      break;
+      // Rendered literals parse back to the same values, so the rendering
+      // is a plan-cache key like any SELECT text.
+      return ExecuteSelect(stmt.select->ToString(),
+                           stmt.kind == StatementKind::kExplain,
+                           stmt.explain_analyze, opts);
   }
-
-  const bool session_timeordered = in_timeordered();
-  if (router_ != nullptr) {
-    return ExecuteRouted(*stmt.select, /*text=*/{}, degrade_mode(),
-                         session_timeordered, opts);
-  }
-  CacheDbms* cache = system_->cache();
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache->Prepare(*stmt.select));
-  std::shared_ptr<obs::QueryTrace> trace;
-  if (trace_enabled()) trace = std::make_shared<obs::QueryTrace>();
-  CacheDbms::PreparedExecOptions eo;
-  eo.timeline_floor = session_timeordered ? timeline_floor() : -1;
-  eo.degrade = degrade_mode();
-  eo.trace = trace.get();
-  eo.session_tag = id_;
-  eo.deadline = ResolveDeadline(opts);
-  eo.shed_hint = opts.shed_hint;
-  RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                       cache->ExecutePrepared(plan, eo));
-  if (session_timeordered) RaiseFloor(outcome.max_seen_heartbeat);
-  QueryResult result = MakeQueryResult(std::move(outcome));
-  result.trace = std::move(trace);
-  return result;
-}
-
-Result<QueryResult> Session::ExecuteExplain(const Statement& stmt) {
-  CacheDbms* cache = system_->cache();
-  RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache->Prepare(*stmt.select));
-  if (!stmt.explain_analyze) {
-    QueryResult out;
-    out.shape = plan.Shape();
-    out.plan_text = plan.DescribeTree();
-    out.constraint = plan.resolved.constraint;
-    out.message = obs::RenderExplain(plan);
-    out.executed_at = system_->Now();
-    return out;
-  }
-  // ANALYZE: execute for real (timeline floor advances exactly as a plain
-  // SELECT would), with a statement-scoped trace regardless of SET TRACE.
-  const bool session_timeordered = in_timeordered();
-  SimTimeMs floor = session_timeordered ? timeline_floor() : -1;
-  auto trace = std::make_shared<obs::QueryTrace>();
-  RCC_ASSIGN_OR_RETURN(
-      CacheQueryOutcome outcome,
-      cache->ExecutePrepared(plan, floor, degrade_mode(), trace.get(), id_));
-  if (session_timeordered) RaiseFloor(outcome.max_seen_heartbeat);
-  QueryResult result = MakeQueryResult(std::move(outcome));
-  result.message = obs::RenderExplainAnalyze(plan, result.stats, *trace);
-  result.trace = std::move(trace);
-  return result;
+  return out;
 }
 
 std::vector<Result<QueryResult>> Session::ExecuteBatch(

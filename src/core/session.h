@@ -157,41 +157,17 @@ class Session {
   /// Resolves the effective deadline for one statement: per-request override
   /// > session SET DEADLINE > caller default, anchored at opts.enqueued_at.
   Deadline ResolveDeadline(const StatementOptions& opts) const;
-  /// EXPLAIN [ANALYZE]: renders the plan (and, for ANALYZE, executes the
-  /// query and renders its trace and stats) into QueryResult::message.
-  Result<QueryResult> ExecuteExplain(const Statement& stmt);
-  /// SELECT (or EXPLAIN [ANALYZE] SELECT) text through the system-wide plan
-  /// cache: a hit executes the cached plan with bound parameters, skipping
-  /// the lex→parse→resolve→optimize front end entirely; a miss builds,
-  /// parameterizes and publishes the plan. `body` starts at the SELECT
-  /// keyword so parse-time literal offsets line up with the cache key's
-  /// parameter slots.
-  Result<QueryResult> ExecuteSelectSql(const std::string& body,
-                                       bool is_explain, bool is_analyze,
-                                       const StatementOptions& opts);
-  /// Dispatches one parsed SELECT through the installed router, carrying the
-  /// session's floor/degrade/deadline/trace exactly as the local path would,
-  /// and raises the timeline floor from the routed outcome. `text` is the
-  /// SELECT's source (the per-node plan-cache key); empty when the statement
-  /// arrived pre-parsed, and the router renders it.
-  Result<QueryResult> ExecuteRouted(const SelectStmt& stmt,
-                                    std::string_view text, DegradeMode degrade,
-                                    bool timeordered,
+  /// The one SELECT path, for SELECT and EXPLAIN [ANALYZE] SELECT alike.
+  /// `body` starts at the SELECT keyword, so parse-time literal offsets line
+  /// up with the plan-cache key's parameter slots. Locally the text goes
+  /// through the system-wide plan cache (CacheDbms::LookupOrPrepare) and
+  /// ExecutePrepared; with a router installed a plain SELECT is parsed and
+  /// dispatched with its text, which keys every node's own plan cache. Either
+  /// way the session's floor, degrade mode, deadline and trace travel with
+  /// it, and the timeline floor rises from the outcome.
+  Result<QueryResult> ExecuteSelect(std::string_view body, bool is_explain,
+                                    bool is_analyze,
                                     const StatementOptions& opts);
-
-  /// CAS-max: lifts the timeline floor to `seen` unless another query
-  /// already published something higher. A plain store would let a slow
-  /// query with an older snapshot *regress* the floor behind a faster
-  /// concurrent one, breaking the "never read older than already seen"
-  /// guarantee of §2.3.
-  void RaiseFloor(SimTimeMs seen) {
-    SimTimeMs cur = timeline_floor_.load(std::memory_order_relaxed);
-    while (seen > cur &&
-           !timeline_floor_.compare_exchange_weak(cur, seen,
-                                                  std::memory_order_acq_rel,
-                                                  std::memory_order_relaxed)) {
-    }
-  }
 
   RccSystem* system_;
   uint64_t id_;
@@ -202,7 +178,7 @@ class Session {
   std::atomic<bool> timeordered_{false};
   std::atomic<bool> trace_enabled_{false};
   /// Atomic because ExecuteBatch workers CAS-max their observed snapshot
-  /// times into it concurrently; the serial path uses it like a plain field.
+  /// times into it concurrently (RaiseFloor); the serial path does the same.
   std::atomic<SimTimeMs> timeline_floor_{-1};
   std::atomic<DegradeMode> degrade_mode_{DegradeMode::kNone};
   /// Session statement deadline (real ms); 0 = none. Atomic for the same

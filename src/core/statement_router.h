@@ -9,7 +9,7 @@
 namespace rcc {
 
 /// Session-level options a routed statement carries: the same knobs
-/// Session::ExecuteSelectSql hands to the local CacheDbms. The plan-cache key
+/// Session::ExecuteSelect hands to the local CacheDbms. The plan-cache key
 /// is (text, degrade, timeordered); the router looks it up in every node's
 /// own PlanCache, since a plan is only valid for the view set it was built
 /// against.

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "core/session.h"
-#include "sql/parser.h"
 
 namespace rcc {
 
@@ -49,10 +48,6 @@ ThreadPool* RccSystem::EnsurePool(int workers) {
   return pool_.get();
 }
 
-namespace {
-
-/// Raises `*cell` to at least `seen`. Raising is commutative and monotone,
-/// so concurrent calls from any interleaving converge to the same maximum.
 void RaiseFloor(std::atomic<SimTimeMs>* cell, SimTimeMs seen) {
   SimTimeMs cur = cell->load(std::memory_order_relaxed);
   while (seen > cur &&
@@ -60,8 +55,6 @@ void RaiseFloor(std::atomic<SimTimeMs>* cell, SimTimeMs seen) {
                                       std::memory_order_relaxed)) {
   }
 }
-
-}  // namespace
 
 std::vector<Result<QueryResult>> RccSystem::ExecuteConcurrent(
     const std::vector<std::string>& sqls, const ConcurrentBatchOptions& opts) {
@@ -71,18 +64,32 @@ std::vector<Result<QueryResult>> RccSystem::ExecuteConcurrent(
   // only its own element, so result order is input order by construction.
   std::vector<std::optional<Result<QueryResult>>> slots(sqls.size());
 
-  auto run_one = [this, &sqls, &opts](size_t i) -> Result<QueryResult> {
-    // Parsing is pure, so it runs inside the worker task too.
-    RCC_ASSIGN_OR_RETURN(auto select, ParseSelect(sqls[i]));
-    RCC_ASSIGN_OR_RETURN(QueryPlan plan, cache_.Prepare(*select));
-    SimTimeMs floor = opts.timeline_floor;
+  // The batch is time-ordered exactly when it carries a floor; that is the
+  // plan-cache key's flag, so a session's batch shares its serial entries.
+  const bool timeordered =
+      opts.floor_cell != nullptr || opts.timeline_floor >= 0;
+  auto run_one = [this, &sqls, &opts,
+                  timeordered](size_t i) -> Result<QueryResult> {
+    // Lookup, parse and plan are thread-safe, so they run inside the worker
+    // task too.
+    RCC_ASSIGN_OR_RETURN(
+        PlanCacheHit prepared,
+        cache_.LookupOrPrepare(sqls[i], opts.degrade, timeordered));
+    CacheDbms::PreparedExecOptions eo;
+    eo.timeline_floor = opts.timeline_floor;
     if (opts.floor_cell != nullptr) {
-      floor = std::max(floor,
-                       opts.floor_cell->load(std::memory_order_acquire));
+      eo.timeline_floor =
+          std::max(eo.timeline_floor,
+                   opts.floor_cell->load(std::memory_order_acquire));
     }
+    // Behaves under the plan's creation mode, audited under the batch's, as
+    // Session::ExecuteSelect runs it.
+    eo.degrade = prepared.entry->created_degrade;
+    eo.audit_degrade = opts.degrade;
+    eo.session_tag = opts.session_tag;
+    eo.params = &prepared.params;
     RCC_ASSIGN_OR_RETURN(CacheQueryOutcome outcome,
-                         cache_.ExecutePrepared(plan, floor, opts.degrade,
-                                                nullptr, opts.session_tag));
+                         cache_.ExecutePrepared(*prepared.entry->plan, eo));
     if (opts.floor_cell != nullptr && outcome.max_seen_heartbeat >= 0) {
       RaiseFloor(opts.floor_cell, outcome.max_seen_heartbeat);
     }

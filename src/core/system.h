@@ -35,6 +35,14 @@ struct ConcurrentBatchOptions {
   uint64_t session_tag = 0;
 };
 
+/// CAS-max: raises `*cell` to at least `seen` unless something higher is
+/// already there. Raising is commutative and monotone, so concurrent calls
+/// from any interleaving converge to the same maximum; a plain store would
+/// let a slow query with an older snapshot regress a timeline floor behind a
+/// faster concurrent one, breaking §2.3's "never read older than already
+/// seen".
+void RaiseFloor(std::atomic<SimTimeMs>* cell, SimTimeMs seen);
+
 /// System-wide configuration.
 struct SystemConfig {
   CostParams costs;

@@ -212,7 +212,7 @@ Result<CacheQueryOutcome> FleetRouter::RouteSelect(
     eo.history_query_id = record_route(best, /*backend_tier=*/false, now,
                                        probes);
     routed_[best]->Add();
-    // Exactly as Session::ExecuteSelectSql runs a cached plan: it behaves
+    // Exactly as Session::ExecuteSelect runs a cached plan: it behaves
     // under the mode it was created for and is audited under the session's.
     const PlanCacheHit& chosen = plans[best];
     eo.degrade = chosen.entry->created_degrade;

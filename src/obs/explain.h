@@ -20,9 +20,6 @@ namespace obs {
 /// (the "plan: cached" line), so applications can tell a fresh optimization
 /// from a reuse at a glance.
 std::string RenderExplain(const QueryPlan& plan, bool cached);
-inline std::string RenderExplain(const QueryPlan& plan) {
-  return RenderExplain(plan, false);
-}
 
 /// `EXPLAIN ANALYZE <select>`: the RenderExplain output followed by what the
 /// execution actually did — per-guard estimated vs. actual branch choice, the
@@ -31,11 +28,6 @@ inline std::string RenderExplain(const QueryPlan& plan) {
 /// executed stats (paper Tables 4.4/4.5 measurements).
 std::string RenderExplainAnalyze(const QueryPlan& plan, const ExecStats& stats,
                                  const QueryTrace& trace, bool cached);
-inline std::string RenderExplainAnalyze(const QueryPlan& plan,
-                                        const ExecStats& stats,
-                                        const QueryTrace& trace) {
-  return RenderExplainAnalyze(plan, stats, trace, false);
-}
 
 }  // namespace obs
 }  // namespace rcc

@@ -633,6 +633,32 @@ TEST(FleetPlanCacheTest, RepeatedTemplateAddsNoMisses) {
   ExpectNoLeakedPins(&f);
 }
 
+// A comment-led SELECT is routed with its text (the comment skipped), so it
+// reuses the plain text's per-node entries.
+TEST(FleetPlanCacheTest, CommentLedSelectRoutesWithItsText) {
+  FleetSystem f(ThreeNodeConfig());
+  sim::HistoryRecorder recorder(13);
+  ASSERT_TRUE(SetupFleet(&f, &recorder).ok());
+  f.AdvanceTo(30000);
+  std::unique_ptr<Session> session = f.CreateSession();
+  ASSERT_TRUE(session->Execute(BooksRangeSql(30)).ok());
+  const std::vector<int64_t> misses = NodeMisses(&f);
+  const int64_t refreshes = PlanRefreshes(&f);
+  const size_t routes =
+      EventsOfKind(recorder.Snapshot(), sim::HistoryEvent::Kind::kRoute)
+          .size();
+
+  auto res = session->Execute("-- note\n" + BooksRangeSql(30));
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_EQ(res->rows.size(), 29u);
+  EXPECT_EQ(EventsOfKind(recorder.Snapshot(), sim::HistoryEvent::Kind::kRoute)
+                .size(),
+            routes + 1);
+  EXPECT_EQ(NodeMisses(&f), misses);
+  EXPECT_EQ(PlanRefreshes(&f), refreshes);
+  ExpectNoLeakedPins(&f);
+}
+
 TEST(FleetPlanCacheTest, StatisticsRefreshOnOneNodeRefreshesEveryNodeOnce) {
   FleetSystem f(ThreeNodeConfig());
   sim::HistoryRecorder recorder(12);

@@ -148,7 +148,13 @@ TEST(SessionTest, ResultMetadataPopulated) {
       fx.session.get(),
       "SELECT isbn FROM Books B WHERE B.isbn = 1 "
       "CURRENCY BOUND 1 HOUR ON (B)");
-  EXPECT_FALSE(r.plan_text.empty());
+  // The plan is rendered for EXPLAIN only, not on every execution.
+  EXPECT_TRUE(r.plan_text.empty());
+  QueryResult explained = MustExecute(
+      fx.session.get(),
+      "EXPLAIN SELECT isbn FROM Books B WHERE B.isbn = 1 "
+      "CURRENCY BOUND 1 HOUR ON (B)");
+  EXPECT_FALSE(explained.plan_text.empty());
   EXPECT_EQ(r.shape, PlanShape::kAllLocal);
   EXPECT_FALSE(r.constraint.tuples.empty());
   EXPECT_EQ(r.executed_at, fx.sys.Now());
